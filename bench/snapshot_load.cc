@@ -18,10 +18,8 @@
 // array, so its cost collapses from O(index bytes) to O(sections). It must
 // be at least 5x faster mapped than copied. The enclosing index parse and
 // end-to-end open are printed but not gated: both are dominated by work
-// that is mode-independent by design — the banded threshold indexes are
-// deliberately not stored (replayed from the saved signatures either way;
-// see D3LIndexes::Save) and first open pays the shared, options-keyed WEM
-// model build.
+// that is mode-independent by design — profile and signature decode, and
+// on first open the shared, options-keyed WEM model build.
 #include <unistd.h>
 
 #include <cstring>
@@ -235,8 +233,8 @@ int main(int argc, char** argv) {
       "engages (forest arrays borrowed, index heap drops), and both load\n"
       "modes — engine and sharded — rank byte-identically to the freshly\n"
       "built engine. Index parse and open are reported unmodified: they are\n"
-      "dominated by the banded replay and WEM build, which cost the same\n"
-      "under either mode by design.\n");
+      "dominated by profile/signature decode and the WEM build, which cost\n"
+      "the same under either mode by design.\n");
 
   if (!metrics_out.empty()) {
     obs::MetricRegistry registry;

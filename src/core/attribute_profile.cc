@@ -1,6 +1,7 @@
 #include "core/attribute_profile.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "text/format.h"
 #include "text/qgram.h"
@@ -65,8 +66,11 @@ AttributeProfile BuildProfile(const Table& table, size_t col,
   }
 
   if (p.is_numeric) {
-    // Evidence D: the extent as a sample of its originating domain.
+    // Evidence D: the extent as a sample of its originating domain. Cells
+    // such as "-nan" parse as NaN, which has no place in a distribution (and
+    // would break the sort order KsStatistic relies on).
     p.numeric_sample = column.NumericExtent();
+    std::erase_if(p.numeric_sample, [](double x) { return std::isnan(x); });
     if (options.max_numeric_sample > 0 &&
         p.numeric_sample.size() > options.max_numeric_sample) {
       std::vector<double> sampled;
@@ -161,6 +165,13 @@ AttributeProfile AttributeProfile::Load(io::Reader& r) {
   p.embedding = r.ReadFloatVector();
   p.has_embedding = r.ReadBool();
   p.numeric_sample = r.ReadDoubleVector();
+  // KsStatistic takes samples as stored: sorted and NaN-free, which also
+  // holds for profiles decoded from untrusted RPC bytes.
+  if (std::any_of(p.numeric_sample.begin(), p.numeric_sample.end(),
+                  [](double x) { return std::isnan(x); }) ||
+      !std::is_sorted(p.numeric_sample.begin(), p.numeric_sample.end())) {
+    r.MarkCorrupt("profile numeric sample is unsorted or holds NaN");
+  }
   return p;
 }
 

@@ -1,78 +1,20 @@
 #include "core/distance.h"
 
-#include <algorithm>
-
 #include "stats/ks.h"
 
 namespace d3l::core {
-
-namespace {
-
-// True iff `id` appears in the threshold lookup of any of the four indexes
-// for the given query signatures (the existential I* interpretation).
-bool RelatedUnderAnyIndex(const D3LIndexes& indexes, const AttributeSignatures& query,
-                          uint32_t id) {
-  for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
-                     Evidence::kEmbedding}) {
-    std::vector<uint32_t> hits = indexes.LookupThreshold(e, query);
-    if (std::find(hits.begin(), hits.end(), id) != hits.end()) return true;
-  }
-  return false;
-}
-
-bool InThresholdLookup(const D3LIndexes& indexes, Evidence e,
-                       const AttributeSignatures& query, uint32_t id) {
-  std::vector<uint32_t> hits = indexes.LookupThreshold(e, query);
-  return std::find(hits.begin(), hits.end(), id) != hits.end();
-}
-
-}  // namespace
-
-double ComputeDistributionDistance(const D3LIndexes& indexes,
-                                   const AttributeProfile& target_profile,
-                                   const AttributeSignatures& target_sigs,
-                                   uint32_t candidate_id,
-                                   const DistributionGuardContext& guard) {
-  const AttributeProfile& cand = indexes.profile(candidate_id);
-  if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
-  if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
-
-  // Algorithm 2, line 4: subject attributes related under I*.
-  bool guard_passed = false;
-  if (guard.target_subject != nullptr && guard.source_subject_id != UINT32_MAX) {
-    guard_passed =
-        RelatedUnderAnyIndex(indexes, *guard.target_subject, guard.source_subject_id);
-  }
-  // Lines 5-6: a' in IN.lookup(a) or a' in IF.lookup(a).
-  if (!guard_passed) {
-    guard_passed = InThresholdLookup(indexes, Evidence::kName, target_sigs, candidate_id);
-  }
-  if (!guard_passed) {
-    guard_passed =
-        InThresholdLookup(indexes, Evidence::kFormat, target_sigs, candidate_id);
-  }
-  if (!guard_passed) return 1.0;  // line 7
-
-  return KsStatistic(target_profile.numeric_sample, cand.numeric_sample);
-}
 
 PrecomputedGuards BuildGuards(const D3LIndexes& indexes,
                               const AttributeSignatures& target_sigs,
                               const AttributeSignatures* target_subject) {
   PrecomputedGuards g;
+  g.name_bands = indexes.ThresholdBandHashes(Evidence::kName, target_sigs);
+  g.format_bands = indexes.ThresholdBandHashes(Evidence::kFormat, target_sigs);
   if (target_subject != nullptr) {
-    for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
-                       Evidence::kEmbedding}) {
-      for (uint32_t id : indexes.LookupThreshold(e, *target_subject)) {
-        g.target_subject_istar.insert(id);
-      }
+    for (size_t e = 0; e < g.subject_bands.size(); ++e) {
+      g.subject_bands[e] =
+          indexes.ThresholdBandHashes(static_cast<Evidence>(e), *target_subject);
     }
-  }
-  for (uint32_t id : indexes.LookupThreshold(Evidence::kName, target_sigs)) {
-    g.name_hits.insert(id);
-  }
-  for (uint32_t id : indexes.LookupThreshold(Evidence::kFormat, target_sigs)) {
-    g.format_hits.insert(id);
   }
   return g;
 }
@@ -86,32 +28,21 @@ double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
   if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
   if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
 
-  bool guard_passed =
-      (source_subject_id != UINT32_MAX &&
-       guards.target_subject_istar.count(source_subject_id) > 0) ||
-      guards.name_hits.count(candidate_id) > 0 ||
-      guards.format_hits.count(candidate_id) > 0;
-  if (!guard_passed) return 1.0;
+  const auto subject_related = [&](Evidence e) {
+    return source_subject_id != UINT32_MAX &&
+           indexes.ThresholdHit(e, guards.subject_bands[static_cast<size_t>(e)],
+                                source_subject_id);
+  };
+  // Algorithm 2, lines 4-6, cheapest test first: IE bands span rp_bits / 8
+  // values, the MinHash bands of the other three the whole signature.
+  const bool guard_passed =
+      subject_related(Evidence::kEmbedding) ||
+      indexes.ThresholdHit(Evidence::kName, guards.name_bands, candidate_id) ||
+      indexes.ThresholdHit(Evidence::kFormat, guards.format_bands, candidate_id) ||
+      subject_related(Evidence::kName) || subject_related(Evidence::kFormat) ||
+      subject_related(Evidence::kValue);
+  if (!guard_passed) return 1.0;  // line 7
   return KsStatistic(target_profile.numeric_sample, cand.numeric_sample);
-}
-
-DistanceVector ComputeDistances(const D3LIndexes& indexes,
-                                const AttributeProfile& target_profile,
-                                const AttributeSignatures& target_sigs,
-                                uint32_t candidate_id,
-                                const DistributionGuardContext& guard) {
-  DistanceVector d = MaxDistances();
-  d[static_cast<size_t>(Evidence::kName)] =
-      indexes.EstimateDistance(Evidence::kName, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kValue)] =
-      indexes.EstimateDistance(Evidence::kValue, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kFormat)] =
-      indexes.EstimateDistance(Evidence::kFormat, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kEmbedding)] =
-      indexes.EstimateDistance(Evidence::kEmbedding, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kDistribution)] = ComputeDistributionDistance(
-      indexes, target_profile, target_sigs, candidate_id, guard);
-  return d;
 }
 
 }  // namespace d3l::core

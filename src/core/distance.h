@@ -1,8 +1,15 @@
-// Pairwise attribute distances, including the guarded D-relatedness
-// computation of Algorithm 2.
+// The guarded D-relatedness computation of Algorithm 2.
+//
+// KS distribution evidence applies to a numeric pair (a, a') only when a
+// guard passes: a' in IN.lookup(a), a' in IF.lookup(a), or the subject
+// attributes of the two tables are related under any index (I*). Each is a
+// threshold membership test for one known attribute, evaluated pairwise
+// from stored signatures (D3LIndexes::ThresholdHit) rather than by
+// enumerating threshold lookups.
 #pragma once
 
-#include <unordered_set>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "core/evidence.h"
@@ -10,55 +17,29 @@
 
 namespace d3l::core {
 
-/// \brief Inputs to Algorithm 2 that depend on the query side.
-struct DistributionGuardContext {
-  /// Signatures of the *subject attribute* of the target table.
-  const AttributeSignatures* target_subject = nullptr;
-  /// Attribute id of the subject attribute of the candidate's table
-  /// (UINT32_MAX when the table has none).
-  uint32_t source_subject_id = UINT32_MAX;
-};
-
-/// \brief Computes DD(a, a') per Algorithm 2.
-///
-/// Returns KS over the two numeric samples if (i) the subject attributes of
-/// the two tables are related under any index (I*), or (ii) a' is in
-/// IN.lookup(a), or (iii) a' is in IF.lookup(a); returns 1 otherwise.
-/// Both attributes must be numeric; returns 1 if either is not.
-double ComputeDistributionDistance(const D3LIndexes& indexes,
-                                   const AttributeProfile& target_profile,
-                                   const AttributeSignatures& target_sigs,
-                                   uint32_t candidate_id,
-                                   const DistributionGuardContext& guard);
-
-/// \brief Full 5-way distance vector between a target attribute (profile +
-/// signatures) and an indexed attribute. Missing evidence maps to 1.
-DistanceVector ComputeDistances(const D3LIndexes& indexes,
-                                const AttributeProfile& target_profile,
-                                const AttributeSignatures& target_sigs,
-                                uint32_t candidate_id,
-                                const DistributionGuardContext& guard);
-
-/// \brief Precomputed Algorithm-2 guard sets, shared across the candidates
-/// of one target attribute (avoids re-hashing the query per candidate).
+/// \brief The query side of the Algorithm-2 guards for one target
+/// attribute: band hashes (D3LIndexes::ThresholdBandHashes) computed once
+/// and compared against every candidate.
 struct PrecomputedGuards {
-  /// I* threshold hits of the *target table's subject attribute*.
-  std::unordered_set<uint32_t> target_subject_istar;
-  /// IN / IF threshold hits of the target attribute itself.
-  std::unordered_set<uint32_t> name_hits;
-  std::unordered_set<uint32_t> format_hits;
+  /// IN / IF band hashes of the target attribute itself.
+  std::vector<uint64_t> name_bands;
+  std::vector<uint64_t> format_bands;
+  /// Band hashes of the *target table's subject attribute* per evidence
+  /// (indexed by Evidence, I* = any of the four); empty without a subject.
+  std::array<std::vector<uint64_t>, 4> subject_bands;
 };
 
-/// \brief Builds the guard sets for one target attribute.
+/// \brief Hashes the guard bands for one target attribute.
 /// \param target_subject signatures of the target table's subject attribute
 ///        (nullptr if the target has none).
 PrecomputedGuards BuildGuards(const D3LIndexes& indexes,
                               const AttributeSignatures& target_sigs,
                               const AttributeSignatures* target_subject);
 
-/// \brief Algorithm 2 with precomputed guard sets. `source_subject_id` is
-/// the attribute id of the candidate table's subject attribute (UINT32_MAX
-/// if none).
+/// \brief DD(a, a') per Algorithm 2: KS over the two numeric samples if a
+/// guard passes, 1 otherwise (and 1 unless both attributes are numeric with
+/// non-empty samples). `source_subject_id` is the attribute id of the
+/// candidate table's subject attribute (UINT32_MAX if none).
 double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
                                        const AttributeProfile& target_profile,
                                        uint32_t candidate_id,

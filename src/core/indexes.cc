@@ -3,33 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+
+#include "lsh/lsh_banding.h"
 
 namespace d3l::core {
 
 namespace {
-BandedLshOptions BandedOptionsFrom(const IndexOptions& o) {
-  BandedLshOptions b;
-  b.threshold = o.lsh_threshold;
-  b.signature_size = o.minhash_size;
-  return b;
-}
-
-BandedLshOptions JoinBandedOptionsFrom(const IndexOptions& o) {
-  BandedLshOptions b;
-  b.threshold = o.join_threshold;
-  b.signature_size = o.minhash_size;
-  return b;
-}
-
-BandedLshOptions BandedOptionsForBits(const IndexOptions& o) {
-  // The embedding banded index runs over the byte sequence of the bit
-  // signature (rp_bits / 8 values).
-  BandedLshOptions b;
-  b.threshold = o.lsh_threshold;
-  b.signature_size = o.rp_bits / 8;
-  return b;
-}
-
 // The embedding forest also runs over the byte sequence, so its key shape
 // is clamped to what rp_bits / 8 values can provide.
 LshForestOptions EmbForestOptionsFrom(const IndexOptions& o) {
@@ -47,11 +28,8 @@ D3LIndexes::D3LIndexes(IndexOptions options)
       value_forest_(options.forest),
       format_forest_(options.forest),
       emb_forest_(EmbForestOptionsFrom(options)),
-      name_banded_(BandedOptionsFrom(options)),
-      value_banded_(BandedOptionsFrom(options)),
-      format_banded_(BandedOptionsFrom(options)),
-      emb_banded_(BandedOptionsForBits(options)),
-      value_join_banded_(JoinBandedOptionsFrom(options)) {
+      minhash_banding_(OptimalBandsRows(options.minhash_size, options.lsh_threshold)),
+      emb_banding_(OptimalBandsRows(options.rp_bits / 8, options.lsh_threshold)) {
   assert(options.forest.num_trees * options.forest.hashes_per_tree <=
          options.minhash_size);
 }
@@ -77,18 +55,10 @@ uint32_t D3LIndexes::Insert(AttributeProfile profile) {
 
   // Algorithm 1, lines 15-18: insert set representations into the indexes.
   name_forest_.Insert(id, s.name_sig);
-  name_banded_.Insert(id, s.name_sig);
   format_forest_.Insert(id, s.format_sig);
-  format_banded_.Insert(id, s.format_sig);
-  if (s.has_value) {
-    value_forest_.Insert(id, s.value_sig);
-    value_banded_.Insert(id, s.value_sig);
-    value_join_banded_.Insert(id, s.value_sig);
-  }
+  if (s.has_value) value_forest_.Insert(id, s.value_sig);
   if (s.has_embedding) {
-    Signature seq = rp_hasher_.SignatureAsHashSequence(s.emb_sig);
-    emb_forest_.Insert(id, seq);
-    emb_banded_.Insert(id, seq);
+    emb_forest_.Insert(id, rp_hasher_.SignatureAsHashSequence(s.emb_sig));
   }
   profiles_.push_back(std::move(profile));
   sigs_.push_back(std::move(s));
@@ -168,31 +138,65 @@ std::vector<uint32_t> D3LIndexes::LookupAtDepth(Evidence e,
   return {};
 }
 
-std::vector<uint32_t> D3LIndexes::LookupThreshold(
+std::vector<uint64_t> D3LIndexes::ThresholdBandHashes(
     Evidence e, const AttributeSignatures& query) const {
+  const auto hashes = [](std::pair<size_t, size_t> banding, size_t n, auto value_at) {
+    const auto [bands, rows] = banding;
+    // BandHash reads value bands * rows - 1; stored signatures are checked
+    // at Insert/Load, query signatures here.
+    if (n < bands * rows) {
+      std::fprintf(stderr,
+                   "D3LIndexes: query signature has %zu values but bands * rows "
+                   "= %zu\n",
+                   n, bands * rows);
+      std::abort();
+    }
+    std::vector<uint64_t> out(bands);
+    for (size_t b = 0; b < bands; ++b) out[b] = BandHash(b, rows, value_at);
+    return out;
+  };
   switch (e) {
     case Evidence::kName:
-      return name_banded_.Query(query.name_sig);
+      return hashes(minhash_banding_, query.name_sig.size(), query.name_sig.data());
     case Evidence::kValue:
       if (!query.has_value) return {};
-      return value_banded_.Query(query.value_sig);
+      return hashes(minhash_banding_, query.value_sig.size(), query.value_sig.data());
     case Evidence::kFormat:
-      return format_banded_.Query(query.format_sig);
-    case Evidence::kEmbedding: {
+      return hashes(minhash_banding_, query.format_sig.size(), query.format_sig.data());
+    case Evidence::kEmbedding:
       if (!query.has_embedding) return {};
-      Signature seq = rp_hasher_.SignatureAsHashSequence(query.emb_sig);
-      return emb_banded_.Query(seq);
-    }
+      return hashes(emb_banding_, (query.emb_sig.bits + 7) / 8,
+                    [&](size_t i) { return SignatureByte(query.emb_sig, i); });
     case Evidence::kDistribution:
       return {};
   }
   return {};
 }
 
-std::vector<uint32_t> D3LIndexes::LookupValueJoin(
-    const AttributeSignatures& query) const {
-  if (!query.has_value) return {};
-  return value_join_banded_.Query(query.value_sig);
+bool D3LIndexes::ThresholdHit(Evidence e, std::span<const uint64_t> query_bands,
+                              uint32_t id) const {
+  const AttributeSignatures& s = sigs_[id];
+  const auto any_band = [&](size_t rows, auto value_at) {
+    for (size_t b = 0; b < query_bands.size(); ++b) {
+      if (BandHash(b, rows, value_at) == query_bands[b]) return true;
+    }
+    return false;
+  };
+  switch (e) {
+    case Evidence::kName:
+      return any_band(minhash_banding_.second, s.name_sig.data());
+    case Evidence::kValue:
+      return s.has_value && any_band(minhash_banding_.second, s.value_sig.data());
+    case Evidence::kFormat:
+      return any_band(minhash_banding_.second, s.format_sig.data());
+    case Evidence::kEmbedding:
+      return s.has_embedding &&
+             any_band(emb_banding_.second,
+                      [&](size_t i) { return SignatureByte(s.emb_sig, i); });
+    case Evidence::kDistribution:
+      return false;
+  }
+  return false;
 }
 
 double D3LIndexes::EstimateDistance(Evidence e, const AttributeSignatures& query,
@@ -298,20 +302,6 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
           s.emb_sig.words.size() != (s.emb_sig.bits + 63) / 64))) {
       return Status::IOError("corrupt file: signature sizes contradict index options");
     }
-    // Replay the banded-index half of Insert() from the saved signatures
-    // (ids were assigned densely in insertion order, so the rebuilt buckets
-    // are identical to the originals).
-    const auto id = static_cast<uint32_t>(i);
-    idx.name_banded_.Insert(id, s.name_sig);
-    idx.format_banded_.Insert(id, s.format_sig);
-    if (s.has_value) {
-      idx.value_banded_.Insert(id, s.value_sig);
-      idx.value_join_banded_.Insert(id, s.value_sig);
-    }
-    if (s.has_embedding) {
-      Signature seq = idx.rp_hasher_.SignatureAsHashSequence(s.emb_sig);
-      idx.emb_banded_.Insert(id, seq);
-    }
     idx.profiles_.push_back(std::move(profile));
     idx.sigs_.push_back(std::move(s));
   }
@@ -348,9 +338,6 @@ size_t D3LIndexes::MemoryUsage() const {
   size_t bytes = sizeof(D3LIndexes);
   bytes += name_forest_.MemoryUsage() + value_forest_.MemoryUsage() +
            format_forest_.MemoryUsage() + emb_forest_.MemoryUsage();
-  bytes += name_banded_.MemoryUsage() + value_banded_.MemoryUsage() +
-           format_banded_.MemoryUsage() + emb_banded_.MemoryUsage() +
-           value_join_banded_.MemoryUsage();
   for (const AttributeProfile& p : profiles_) bytes += p.MemoryUsage();
   for (const AttributeSignatures& s : sigs_) {
     bytes += (s.name_sig.capacity() + s.value_sig.capacity() + s.format_sig.capacity()) *

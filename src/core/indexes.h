@@ -1,21 +1,23 @@
 // The four LSH indexes of D3L (IN, IV, IF, IE — Section III-B) plus the
 // attribute registry they index into.
 //
-// Each index pairs an LSH Forest (top-m candidate retrieval) with a banded
-// threshold index (membership lookups at the configured tau, used by the
-// Algorithm-2 guards and the SA-join graph). Signatures are retained so
-// distances between any two indexed/query attributes can be estimated
-// without touching raw extents.
+// Each index is an LSH Forest (top-m candidate retrieval). Threshold
+// membership at the configured tau — the Algorithm-2 guards' "a' in
+// IN.lookup(a)" — is a pairwise band predicate (ThresholdHit) over the
+// retained signatures, so no banded index is kept. The signatures also let
+// distances between any two indexed/query attributes be estimated without
+// touching raw extents.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/attribute_profile.h"
 #include "core/evidence.h"
 #include "io/binary_io.h"
-#include "lsh/lsh_banding.h"
 #include "lsh/lsh_forest.h"
 #include "lsh/minhash.h"
 #include "lsh/simhash.h"
@@ -25,8 +27,8 @@ namespace d3l::core {
 struct IndexOptions {
   size_t minhash_size = 256;   ///< MinHash signature size (paper: 256)
   double lsh_threshold = 0.7;  ///< tau for threshold lookups (paper: 0.7)
-  /// Jaccard threshold of the auxiliary IV index used for SA-join
-  /// discovery. Join candidates are containment-flavoured (a small tset
+  /// Jaccard threshold of the banded IV index SaJoinGraph::Build uses for
+  /// SA-join discovery. Join candidates are containment-flavoured (a small tset
   /// included in a large one has a high overlap coefficient but a modest
   /// Jaccard), so this sits well below lsh_threshold; candidates are then
   /// filtered on the estimated overlap coefficient (Section IV's bound).
@@ -98,13 +100,23 @@ class D3LIndexes {
   std::vector<uint32_t> LookupAtDepth(Evidence e, const AttributeSignatures& query,
                                       size_t min_depth) const;
 
-  /// Threshold membership: ids whose signature collides with the query in
-  /// the banded index at tau (the paper's "a' in IN.lookup(a)" relation).
-  std::vector<uint32_t> LookupThreshold(Evidence e,
-                                        const AttributeSignatures& query) const;
+  /// The query's band hashes under evidence `e`'s threshold banding at
+  /// tau: the (bands, rows) OptimalBandsRows picks for the evidence's
+  /// signature length (minhash_size, or rp_bits / 8 bytes for IE). Empty
+  /// when the query lacks the evidence.
+  std::vector<uint64_t> ThresholdBandHashes(Evidence e,
+                                            const AttributeSignatures& query) const;
 
-  /// IV lookup at the (lower) join threshold — SA-join candidate retrieval.
-  std::vector<uint32_t> LookupValueJoin(const AttributeSignatures& query) const;
+  /// Threshold membership, the paper's "a' in IN.lookup(a)": true iff
+  /// attribute `id` has evidence `e` and shares a band hash with the query
+  /// whose ThresholdBandHashes are `query_bands`. Exactly "id in
+  /// BandedLsh::Query(q)" for a BandedLsh at tau over the stored
+  /// signatures; stops at the first matching band.
+  bool ThresholdHit(Evidence e, std::span<const uint64_t> query_bands,
+                    uint32_t id) const;
+  bool ThresholdHit(Evidence e, const AttributeSignatures& query, uint32_t id) const {
+    return ThresholdHit(e, ThresholdBandHashes(e, query), id);
+  }
 
   /// Estimated distance of one evidence type between a query attribute and
   /// an indexed attribute; 1.0 when evidence is missing on either side.
@@ -116,16 +128,13 @@ class D3LIndexes {
 
   /// Wall time the last Load() spent deserializing the four forests — the
   /// array-materialization component that a mapped kFlat reader collapses
-  /// to pointer fixups. Zero for indexes built in process. The banded
-  /// replay and profile/signature decode are deliberately excluded: they
-  /// cost the same under either load mode.
+  /// to pointer fixups. Zero for indexes built in process. Profile and
+  /// signature decode is deliberately excluded: it costs the same under
+  /// either load mode.
   double forest_parse_seconds() const { return forest_parse_seconds_; }
 
   /// Serializes options, profiles, signatures and the four LSH forests into
-  /// the writer's current section. The banded threshold indexes are not
-  /// written: Load() rebuilds them deterministically from the saved
-  /// signatures (band hashing is orders of magnitude cheaper than the
-  /// profiling + MinHash work the snapshot exists to avoid).
+  /// the writer's current section.
   void Save(io::Writer& w) const;
 
   /// Deserializes indexes written by Save(). `forest_format` names the
@@ -150,11 +159,10 @@ class D3LIndexes {
   LshForest format_forest_;
   LshForest emb_forest_;
 
-  BandedLsh name_banded_;
-  BandedLsh value_banded_;
-  BandedLsh format_banded_;
-  BandedLsh emb_banded_;
-  BandedLsh value_join_banded_;  ///< IV at join_threshold (Section IV)
+  // Threshold banding at tau: (bands, rows) over MinHash signatures (IN,
+  // IV, IF) and over the rp_bits / 8 byte sequence of IE signatures.
+  std::pair<size_t, size_t> minhash_banding_;
+  std::pair<size_t, size_t> emb_banding_;
 
   std::vector<AttributeProfile> profiles_;
   std::vector<AttributeSignatures> sigs_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "lsh/lsh_banding.h"
+
 namespace d3l::core {
 
 namespace {
@@ -37,6 +39,17 @@ SaJoinGraph SaJoinGraph::Build(const D3LEngine& engine, double min_overlap) {
   const D3LIndexes& indexes = engine.indexes();
   std::unordered_set<uint64_t> seen_edges;
 
+  // IV at the (lower) join threshold, built for this enumeration only: ids
+  // inserted in id order, as the engine's indexes assigned them.
+  BandedLshOptions join_options;
+  join_options.threshold = indexes.options().join_threshold;
+  join_options.signature_size = indexes.options().minhash_size;
+  BandedLsh value_join(join_options);
+  for (uint32_t id = 0; id < indexes.num_attributes(); ++id) {
+    const AttributeSignatures& s = indexes.signatures(id);
+    if (s.has_value) value_join.Insert(id, s.value_sig);
+  }
+
   // For every subject attribute, find V-related attributes in other tables;
   // each hit satisfies both SA-joinability conditions (one endpoint is a
   // subject attribute, tset overlap has IV evidence at tau).
@@ -47,7 +60,7 @@ SaJoinGraph SaJoinGraph::Build(const D3LEngine& engine, double min_overlap) {
     if (!ssigs.has_value) continue;
     const AttributeProfile& sprof = indexes.profile(said);
 
-    for (uint32_t cand : indexes.LookupValueJoin(ssigs)) {
+    for (uint32_t cand : value_join.Query(ssigs.value_sig)) {
       const AttributeProfile& cprof = indexes.profile(cand);
       if (cprof.ref.table == ti) continue;
       uint64_t key = EdgeKey(ti, sprof.ref.column, cprof.ref.table, cprof.ref.column);

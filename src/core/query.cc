@@ -575,7 +575,12 @@ std::vector<PairDistances> D3LEngine::ScoreCandidates(
     const std::vector<uint32_t>& candidates = per_column_candidates[c];
     if (candidates.empty()) continue;
 
-    PrecomputedGuards guards = BuildGuards(indexes_, qsigs, target_subject_sigs);
+    // Algorithm 2 reads the guards only for a numeric target with a sample.
+    PrecomputedGuards guards;
+    if (enabled(Evidence::kDistribution) && qprof.is_numeric &&
+        !qprof.numeric_sample.empty()) {
+      guards = BuildGuards(indexes_, qsigs, target_subject_sigs);
+    }
 
     for (uint32_t id : candidates) {
       const AttributeProfile& cand_prof = indexes_.profile(id);

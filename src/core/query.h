@@ -90,9 +90,8 @@ struct SnapshotLoadStats {
   bool mapped = false;          ///< the file was served from an mmap
   uint64_t pad_bytes = 0;       ///< alignment padding skipped while reading
   double open_seconds = 0;      ///< whole LoadSnapshot wall time
-  /// Wall time decoding the INDX section: signature/profile decode, the
-  /// banded-index replay (mode-independent by design — see
-  /// D3LIndexes::Save) and the forest deserialization.
+  /// Wall time decoding the INDX section: profile/signature decode
+  /// (mode-independent by design) and the forest deserialization.
   double index_parse_seconds = 0;
   /// Wall time of the forest deserialization alone — the full-array
   /// materialization that a mapped v2 load collapses to pointer fixups.

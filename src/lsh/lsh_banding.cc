@@ -7,8 +7,6 @@
 #include <cstdlib>
 #include <unordered_set>
 
-#include "common/hash.h"
-
 namespace d3l {
 
 std::pair<size_t, size_t> OptimalBandsRows(size_t signature_size, double threshold) {
@@ -45,8 +43,8 @@ BandedLsh::BandedLsh(BandedLshOptions options) : options_(options) {
 }
 
 void BandedLsh::CheckSignatureSize(size_t n) const {
-  // BandHash reads sig[bands * rows - 1]; a short signature (an ensemble
-  // whose options disagree with its hasher) would read out of bounds. Fail
+  // BandHash reads sig[bands * rows - 1]; a short signature (one whose
+  // options disagree with its hasher) would read out of bounds. Fail
   // loudly in release builds too, like LshForest::CheckSignatureSize —
   // Insert/Query are per-item, so the check is cheap.
   const size_t need = bands_ * rows_;
@@ -59,14 +57,6 @@ void BandedLsh::CheckSignatureSize(size_t n) const {
   }
 }
 
-uint64_t BandedLsh::BandHash(size_t band, const uint64_t* sig) const {
-  uint64_t h = Mix64(band + 0x51ed2701);
-  for (size_t i = 0; i < rows_; ++i) {
-    h = HashCombine(h, sig[band * rows_ + i]);
-  }
-  return h;
-}
-
 void BandedLsh::Insert(ItemId id, const Signature& signature) {
   Insert(id, signature.data(), signature.size());
 }
@@ -74,7 +64,7 @@ void BandedLsh::Insert(ItemId id, const Signature& signature) {
 void BandedLsh::Insert(ItemId id, const uint64_t* signature, size_t n) {
   CheckSignatureSize(n);
   for (size_t b = 0; b < bands_; ++b) {
-    buckets_[b][BandHash(b, signature)].push_back(id);
+    buckets_[b][BandHash(b, rows_, signature)].push_back(id);
   }
   ++num_items_;
 }
@@ -84,7 +74,7 @@ std::vector<BandedLsh::ItemId> BandedLsh::Query(const Signature& signature) cons
   std::unordered_set<ItemId> seen;
   std::vector<ItemId> out;
   for (size_t b = 0; b < bands_; ++b) {
-    auto it = buckets_[b].find(BandHash(b, signature.data()));
+    auto it = buckets_[b].find(BandHash(b, rows_, signature.data()));
     if (it == buckets_[b].end()) continue;
     for (ItemId id : it->second) {
       if (seen.insert(id).second) out.push_back(id);

@@ -41,17 +41,8 @@ BitSignature RandomProjectionHasher::Sign(const Vec& v) const {
 
 std::vector<uint64_t> RandomProjectionHasher::SignatureAsHashSequence(
     const BitSignature& sig) const {
-  std::vector<uint64_t> seq;
-  seq.reserve((sig.bits + 7) / 8);
-  for (size_t b = 0; b < sig.bits; b += 8) {
-    uint64_t byte = 0;
-    for (size_t i = 0; i < 8 && b + i < sig.bits; ++i) {
-      size_t p = b + i;
-      uint64_t bit = (sig.words[p / 64] >> (p % 64)) & 1ULL;
-      byte |= bit << i;
-    }
-    seq.push_back(byte);
-  }
+  std::vector<uint64_t> seq((sig.bits + 7) / 8);
+  for (size_t i = 0; i < seq.size(); ++i) seq[i] = SignatureByte(sig, i);
   return seq;
 }
 

@@ -22,6 +22,14 @@ struct BitSignature {
   bool empty() const { return bits == 0; }
 };
 
+/// \brief Value `i` of a bit signature read as a hash sequence: byte i
+/// (bits 8i .. 8i+7; the last byte keeps only the bits that exist).
+inline uint64_t SignatureByte(const BitSignature& sig, size_t i) {
+  const size_t first = i * 8;
+  const size_t n = sig.bits - first < 8 ? sig.bits - first : 8;
+  return (sig.words[first / 64] >> (first % 64)) & ((uint64_t{1} << n) - 1);
+}
+
 /// \brief Signs vectors against a fixed family of random hyperplanes.
 ///
 /// Hyperplane components are deterministic Gaussians derived from
@@ -39,7 +47,8 @@ class RandomProjectionHasher {
   BitSignature Sign(const Vec& v) const;
 
   /// The signature reinterpreted as a sequence of small hash values for
-  /// LSH-Forest insertion (each byte of the bit signature is one value).
+  /// LSH-Forest insertion (each byte of the bit signature is one value,
+  /// see SignatureByte).
   std::vector<uint64_t> SignatureAsHashSequence(const BitSignature& sig) const;
 
  private:

@@ -94,9 +94,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     }
   }
 
-  // Load every shard replica, in parallel on the query pool (the banded
-  // indexes are rebuilt from signatures at load time, which is the bulk of
-  // the open cost for big shard sets).
+  // Load every shard replica, in parallel on the query pool (profile and
+  // signature decode is the bulk of the open cost for big shard sets).
   engine->shard_lakes_.resize(n_shards);
   engine->shards_.resize(n_shards);
   std::vector<Status> load_status(n_shards);

@@ -1,14 +1,15 @@
 #include "stats/ks.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace d3l {
 
-double KsStatistic(std::vector<double> a, std::vector<double> b) {
+double KsStatistic(std::span<const double> a, std::span<const double> b) {
   if (a.empty() || b.empty()) return 1.0;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+  assert(std::is_sorted(a.begin(), a.end()));
+  assert(std::is_sorted(b.begin(), b.end()));
   size_t i = 0;
   size_t j = 0;
   double d = 0;

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 namespace d3l {
 
@@ -10,8 +10,9 @@ namespace d3l {
 ///
 /// Inputs are extents of numeric attributes understood as samples of their
 /// originating domains. Returns 1.0 (maximal distance) if either sample is
-/// empty. Inputs need not be sorted.
-double KsStatistic(std::vector<double> a, std::vector<double> b);
+/// empty. Both samples must be sorted ascending and free of NaN (as
+/// core::BuildProfile stores them); debug builds assert the order.
+double KsStatistic(std::span<const double> a, std::span<const double> b);
 
 /// \brief Asymptotic two-sample KS p-value for statistic d with sample
 /// sizes n and m (Kolmogorov distribution tail). Used in tests to sanity-

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "stats/ks.h"
 #include "tests/test_util.h"
 
 namespace d3l::core {
@@ -25,6 +26,16 @@ class DistanceTest : public ::testing::Test {
  protected:
   DistanceTest() : indexes_(IndexOptions{}), cache_(&wem_) {}
 
+  // Algorithm 2 as ScoreCandidates runs it: guards hashed once for the
+  // target attribute, then evaluated against one candidate.
+  double Distribution(const AttributeProfile& target, uint32_t candidate_id,
+                      const AttributeSignatures* target_subject = nullptr,
+                      uint32_t source_subject_id = UINT32_MAX) {
+    PrecomputedGuards guards = BuildGuards(indexes_, indexes_.Sign(target), target_subject);
+    return ComputeDistributionDistanceFast(indexes_, target, candidate_id, guards,
+                                           source_subject_id);
+  }
+
   uint32_t Insert(const Table& t, size_t col, uint32_t table_id) {
     AttributeProfile p = BuildProfile(t, col, wem_, &cache_);
     p.ref = AttributeRef{table_id, static_cast<uint32_t>(col)};
@@ -44,9 +55,8 @@ TEST_F(DistanceTest, GuardPassesViaNameIndex) {
   indexes_.Finalize();
 
   AttributeProfile qa = BuildProfile(a, 1, wem_, &cache_);
-  AttributeSignatures qs = indexes_.Sign(qa);
-  DistributionGuardContext guard;  // no subject info
-  double dd = ComputeDistributionDistance(indexes_, qa, qs, 0, guard);
+  EXPECT_TRUE(indexes_.ThresholdHit(Evidence::kName, indexes_.Sign(qa), 0));
+  double dd = Distribution(qa, 0);  // no subject info
   EXPECT_LT(dd, 0.25);  // same distribution -> small KS
 }
 
@@ -68,9 +78,7 @@ TEST_F(DistanceTest, GuardBlocksUnrelatedNumericPairs) {
   indexes_.Finalize();
 
   AttributeProfile qa = BuildProfile(a, 1, wem_, &cache_);
-  AttributeSignatures qs = indexes_.Sign(qa);
-  DistributionGuardContext guard;
-  EXPECT_DOUBLE_EQ(ComputeDistributionDistance(indexes_, qa, qs, 0, guard), 1.0);
+  EXPECT_DOUBLE_EQ(Distribution(qa, 0), 1.0);
 }
 
 TEST_F(DistanceTest, GuardPassesViaSubjectRelation) {
@@ -94,14 +102,11 @@ TEST_F(DistanceTest, GuardPassesViaSubjectRelation) {
   indexes_.Finalize();
 
   AttributeProfile qa = BuildProfile(a, 1, wem_, &cache_);
-  AttributeSignatures qs = indexes_.Sign(qa);
   AttributeProfile subj_prof = BuildProfile(a, 0, wem_, &cache_);
   AttributeSignatures subj_sigs = indexes_.Sign(subj_prof);
 
-  DistributionGuardContext guard;
-  guard.target_subject = &subj_sigs;
-  guard.source_subject_id = b_subject;
-  double dd = ComputeDistributionDistance(indexes_, qa, qs, 1, guard);
+  EXPECT_DOUBLE_EQ(Distribution(qa, 1), 1.0);  // no subject relation: blocked
+  double dd = Distribution(qa, 1, &subj_sigs, b_subject);
   EXPECT_LT(dd, 1.0);  // guard passed, KS computed
 }
 
@@ -110,9 +115,10 @@ TEST_F(DistanceTest, NonNumericPairsAlwaysOne) {
   Insert(s1, 0, 0);
   indexes_.Finalize();
   AttributeProfile q = BuildProfile(testutil::FigureTarget(), 0, wem_, &cache_);
-  AttributeSignatures qs = indexes_.Sign(q);
-  DistributionGuardContext guard;
-  EXPECT_DOUBLE_EQ(ComputeDistributionDistance(indexes_, q, qs, 0, guard), 1.0);
+  EXPECT_DOUBLE_EQ(Distribution(q, 0), 1.0);
+  // ScoreCandidates hashes no guards for a textual target column.
+  EXPECT_DOUBLE_EQ(ComputeDistributionDistanceFast(indexes_, q, 0, PrecomputedGuards{}, 0),
+                   1.0);
 }
 
 TEST_F(DistanceTest, KsSeparatesDistributionsWhenGuardPasses) {
@@ -124,16 +130,14 @@ TEST_F(DistanceTest, KsSeparatesDistributionsWhenGuardPasses) {
   indexes_.Finalize();
 
   AttributeProfile qa = BuildProfile(a, 1, wem_, &cache_);
-  AttributeSignatures qs = indexes_.Sign(qa);
-  DistributionGuardContext guard;
-  double d_same = ComputeDistributionDistance(indexes_, qa, qs, same_id, guard);
-  double d_shifted = ComputeDistributionDistance(indexes_, qa, qs, shifted_id, guard);
+  double d_same = Distribution(qa, same_id);
+  double d_shifted = Distribution(qa, shifted_id);
   EXPECT_LT(d_same, 0.25);
   // Same name => guard passes, but disjoint distributions => KS ~ 1.
   EXPECT_GT(d_shifted, 0.9);
 }
 
-TEST_F(DistanceTest, ComputeDistancesFillsAllFive) {
+TEST_F(DistanceTest, TextualPairHasEstimatesButNoDistribution) {
   Table s2 = testutil::FigureS2();
   for (size_t c = 0; c < s2.num_columns(); ++c) Insert(s2, c, 0);
   indexes_.Finalize();
@@ -141,29 +145,23 @@ TEST_F(DistanceTest, ComputeDistancesFillsAllFive) {
   Table target = testutil::FigureTarget();
   AttributeProfile q = BuildProfile(target, 3, wem_, &cache_);  // Postcode
   AttributeSignatures qs = indexes_.Sign(q);
-  DistributionGuardContext guard;
-  DistanceVector d = ComputeDistances(indexes_, q, qs, 2, guard);  // S2.Postcode
-  // Identical name: DN == 0; strong value overlap: DV < 1; same format.
-  EXPECT_LT(d[0], 0.05);
-  EXPECT_LT(d[1], 0.8);
-  EXPECT_LT(d[2], 0.5);
-  EXPECT_LE(d[3], 1.0);
-  EXPECT_DOUBLE_EQ(d[4], 1.0);  // textual pair: no distribution evidence
+  // S2.Postcode: identical name, strong value overlap, same format.
+  EXPECT_LT(indexes_.EstimateDistance(Evidence::kName, qs, 2), 0.05);
+  EXPECT_LT(indexes_.EstimateDistance(Evidence::kValue, qs, 2), 0.8);
+  EXPECT_LT(indexes_.EstimateDistance(Evidence::kFormat, qs, 2), 0.5);
+  EXPECT_LE(indexes_.EstimateDistance(Evidence::kEmbedding, qs, 2), 1.0);
+  EXPECT_DOUBLE_EQ(Distribution(q, 2), 1.0);  // textual pair: no D evidence
 }
 
-TEST_F(DistanceTest, FastPathAgreesWithGuardedPath) {
+TEST_F(DistanceTest, PassedGuardYieldsKsOfStoredSamples) {
   Table a = NumericTable("a", "Age", 50, 10, 21);
   Table b = NumericTable("b", "Age", 50, 10, 22);
   uint32_t id = Insert(b, 1, 1);
   indexes_.Finalize();
 
   AttributeProfile qa = BuildProfile(a, 1, wem_, &cache_);
-  AttributeSignatures qs = indexes_.Sign(qa);
-  DistributionGuardContext guard;
-  double slow = ComputeDistributionDistance(indexes_, qa, qs, id, guard);
-  PrecomputedGuards guards = BuildGuards(indexes_, qs, nullptr);
-  double fast = ComputeDistributionDistanceFast(indexes_, qa, id, guards, UINT32_MAX);
-  EXPECT_DOUBLE_EQ(slow, fast);
+  EXPECT_EQ(Distribution(qa, id),
+            KsStatistic(qa.numeric_sample, indexes_.profile(id).numeric_sample));
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <unordered_set>
 
+#include "benchdata/synthetic_gen.h"
+#include "core/query.h"
+#include "lsh/lsh_banding.h"
 #include "tests/test_util.h"
 
 namespace d3l::core {
@@ -124,10 +129,97 @@ TEST_F(IndexesTest, ThresholdLookupIsSelective) {
 
   Table target = testutil::FigureTarget();
   AttributeSignatures q = SignColumn(target, 3);  // Postcode
-  auto hits = indexes_.LookupThreshold(Evidence::kName, q);
-  for (uint32_t id : hits) {
-    // No filler column should name-collide with "Postcode" at tau=0.7.
-    EXPECT_EQ(indexes_.profile(id).ref.table, 0u);
+  for (uint32_t id = 0; id < indexes_.num_attributes(); ++id) {
+    // S1's identically named "Postcode" collides; no filler column should
+    // name-collide with it at tau=0.7.
+    const bool hit = indexes_.ThresholdHit(Evidence::kName, q, id);
+    EXPECT_EQ(hit, indexes_.profile(id).column_name == "Postcode") << id;
+  }
+}
+
+// The byte sequence the embedding threshold banding runs over, spelled out
+// bit by bit: byte i packs signature bits 8i .. 8i+7, least significant first.
+Signature EmbeddingBytes(const BitSignature& sig) {
+  Signature seq;
+  for (size_t b = 0; b < sig.bits; b += 8) {
+    uint64_t byte = 0;
+    for (size_t i = 0; i < 8 && b + i < sig.bits; ++i) {
+      byte |= ((sig.words[(b + i) / 64] >> ((b + i) % 64)) & 1ULL) << i;
+    }
+    seq.push_back(byte);
+  }
+  return seq;
+}
+
+// The values evidence `e`'s banded index hashes for an attribute; nullopt
+// when the attribute lacks the evidence (and so is never inserted).
+std::optional<Signature> BandedValues(Evidence e, const AttributeSignatures& s) {
+  switch (e) {
+    case Evidence::kName:
+      return s.name_sig;
+    case Evidence::kValue:
+      if (!s.has_value) return std::nullopt;
+      return s.value_sig;
+    case Evidence::kFormat:
+      return s.format_sig;
+    case Evidence::kEmbedding:
+      if (!s.has_embedding) return std::nullopt;
+      return EmbeddingBytes(s.emb_sig);
+    case Evidence::kDistribution:
+      break;
+  }
+  return std::nullopt;
+}
+
+// The pairwise predicate must be exactly the membership a banded index at
+// tau reports, for every evidence and every (query, attribute) pair.
+TEST(ThresholdHitTest, MatchesBandedIndexOnSyntheticLake) {
+  benchdata::SyntheticOptions opts;
+  opts.num_base_tables = 4;
+  opts.derived_per_base = 4;
+  opts.base_rows_min = 40;
+  opts.base_rows_max = 80;
+  opts.seed = 5;
+  auto gen = benchdata::GenerateSynthetic(opts);
+  ASSERT_TRUE(gen.ok());
+  D3LEngine engine;
+  ASSERT_TRUE(engine.IndexLake(gen->lake).ok());
+  const D3LIndexes& indexes = engine.indexes();
+  const IndexOptions& o = indexes.options();
+  const uint32_t n = static_cast<uint32_t>(indexes.num_attributes());
+
+  for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
+                     Evidence::kEmbedding}) {
+    BandedLshOptions banded_options;
+    banded_options.threshold = o.lsh_threshold;
+    banded_options.signature_size =
+        e == Evidence::kEmbedding ? o.rp_bits / 8 : o.minhash_size;
+    BandedLsh banded(banded_options);
+    for (uint32_t id = 0; id < n; ++id) {
+      if (auto values = BandedValues(e, indexes.signatures(id))) banded.Insert(id, *values);
+    }
+
+    size_t hits = 0;
+    size_t misses = 0;
+    for (uint32_t q = 0; q < n; ++q) {
+      const AttributeSignatures& query = indexes.signatures(q);
+      std::unordered_set<uint32_t> expected;
+      if (auto values = BandedValues(e, query)) {
+        const std::vector<uint32_t> found = banded.Query(*values);
+        expected.insert(found.begin(), found.end());
+      }
+      const std::vector<uint64_t> bands = indexes.ThresholdBandHashes(e, query);
+      for (uint32_t id = 0; id < n; ++id) {
+        const bool hit = indexes.ThresholdHit(e, bands, id);
+        ASSERT_EQ(hit, expected.count(id) > 0)
+            << EvidenceName(e) << " query " << q << " id " << id;
+        ASSERT_EQ(indexes.ThresholdHit(e, query, id), hit);
+        ++(hit && id != q ? hits : misses);
+      }
+    }
+    // Both outcomes occur beyond self-matches, so the parity is not vacuous.
+    EXPECT_GT(hits, 0u) << EvidenceName(e);
+    EXPECT_GT(misses, 0u) << EvidenceName(e);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "ml/scaler.h"
 
 namespace d3l {
 namespace {
@@ -84,26 +83,6 @@ TEST(LogisticTest, RegularizationShrinksWeights) {
   ASSERT_TRUE(m_weak.ok());
   ASSERT_TRUE(m_strong.ok());
   EXPECT_GT(std::abs(m_weak->weights()[0]), std::abs(m_strong->weights()[0]));
-}
-
-TEST(ScalerTest, StandardizesColumns) {
-  StandardScaler scaler;
-  auto out = scaler.FitTransform({{1, 10}, {2, 20}, {3, 30}});
-  // Column means 2 and 20 -> transformed mean 0.
-  double m0 = (out[0][0] + out[1][0] + out[2][0]) / 3;
-  double m1 = (out[0][1] + out[1][1] + out[2][1]) / 3;
-  EXPECT_NEAR(m0, 0, 1e-12);
-  EXPECT_NEAR(m1, 0, 1e-12);
-  // Unit variance.
-  double v0 = 0;
-  for (const auto& row : out) v0 += row[0] * row[0];
-  EXPECT_NEAR(v0 / 3, 1.0, 1e-9);
-}
-
-TEST(ScalerTest, ConstantColumnPassthrough) {
-  StandardScaler scaler;
-  auto out = scaler.FitTransform({{5.0}, {5.0}});
-  EXPECT_DOUBLE_EQ(out[0][0], 0.0);  // (x - mean), std 0 guard
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(SharedLevels, BandedThresholdTest,
                          ::testing::Values(25, 40, 56, 60));
 
 TEST(BandedLshDeathTest, ShortSignatureAbortsLoudly) {
-  // An ensemble whose options disagree with its hasher must die with a
+  // An index whose options disagree with its hasher must die with a
   // diagnostic instead of reading past the signature (mirrors
   // LshForest::CheckSignatureSize; previously only a debug assert).
   BandedLshOptions options;

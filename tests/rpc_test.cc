@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -297,6 +298,37 @@ TEST_F(RpcServerTest, ApplicationErrorsComeBackAsWireStatuses) {
   auto response = client.CallChecked(rpc::kMethodSearch, request);
   ASSERT_FALSE(response.ok());
   EXPECT_TRUE(response.status().IsInvalidArgument())
+      << response.status().ToString();
+  ExpectServerStillHealthy();
+}
+
+TEST_F(RpcServerTest, UnsortedNumericSampleIsRefused) {
+  // KsStatistic reads samples as stored, so a decoded target must carry
+  // them sorted; an out-of-order sample from the wire is a decode error.
+  auto profiled = engine_->Profile(testutil::FigureS1());
+  ASSERT_TRUE(profiled.ok());
+  core::QueryTarget target = *profiled;
+  bool reversed = false;
+  for (core::AttributeProfile& p : target.profiles) {
+    if (p.numeric_sample.size() < 2 || p.numeric_sample.front() == p.numeric_sample.back()) {
+      continue;
+    }
+    std::reverse(p.numeric_sample.begin(), p.numeric_sample.end());
+    reversed = true;
+    break;
+  }
+  ASSERT_TRUE(reversed) << "FigureS1 has a numeric column";
+
+  rpc::RpcClient client("127.0.0.1", server_->port());
+  const std::string request =
+      rpc::BuildFrame(rpc::kMethodSearch, [&](io::Writer& w) {
+        core::SaveQueryTarget(w, target);
+        w.WriteU64(5);
+        rpc::SaveMask(w, engine_->options().enabled);
+      });
+  auto response = client.CallChecked(rpc::kMethodSearch, request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_NE(response.status().ToString().find("numeric sample"), std::string::npos)
       << response.status().ToString();
   ExpectServerStillHealthy();
 }
